@@ -36,6 +36,9 @@ deproto::api::SweepSpec bench_sweep() {
   return sweep;
 }
 
+/// jobs/s over wall-clock time: the jobs run on pool threads or in worker
+/// processes, so the main thread's CPU time (the default clock) is idle
+/// waiting and would overstate the rate by orders of magnitude.
 void report(benchmark::State& state) {
   state.counters["jobs"] = kJobs;
   state.counters["jobs/s"] = benchmark::Counter(
@@ -55,7 +58,11 @@ void BM_InProcessThreads(benchmark::State& state) {
   }
   report(state);
 }
-BENCHMARK(BM_InProcessThreads)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InProcessThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DispatchWorkers(benchmark::State& state) {
   const deproto::api::SweepSpec sweep = bench_sweep();
@@ -69,7 +76,11 @@ void BM_DispatchWorkers(benchmark::State& state) {
   }
   report(state);
 }
-BENCHMARK(BM_DispatchWorkers)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DispatchWorkers)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -72,8 +72,8 @@ struct ExperimentResult {
   std::vector<std::size_t> final_counts;
   std::size_t final_alive = 0;
 
-  sim::TokenStats tokens;           // sync backend
-  std::uint64_t probes_total = 0;   // sync backend
+  sim::TokenStats tokens;           // sync, count + net backends; 0 on event
+  std::uint64_t probes_total = 0;   // sync, count + net backends; 0 on event
   std::uint64_t messages_sent = 0;     // event + net backends
   std::uint64_t messages_dropped = 0;  // event (synthetic) / net (measured)
 

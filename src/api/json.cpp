@@ -1,7 +1,9 @@
 #include "api/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -39,32 +41,6 @@ void append_escaped(std::string& out, const std::string& s) {
     }
   }
   out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  // JSON has no NaN/Infinity lexemes. Throwing here would abort
-  // serialization of a whole document over one bad metric, after the
-  // compute that produced it is already done -- so the canonical encoding
-  // maps non-finite values to null (readers see NaN back, field by field).
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  // -0.0 == 0.0 but "%.0f" would print "-0": semantically equal documents
-  // must dump identical bytes (they are content-addressed cache keys).
-  if (v == 0.0) {
-    out += '0';
-    return;
-  }
-  char buf[32];
-  // Integers in the exactly-representable range print without a decimal
-  // point so ids and counts stay readable and round-trip bit-exactly.
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
 }
 
 class Parser {
@@ -255,10 +231,23 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
-    const std::string lexeme = text_.substr(start, pos_ - start);
+    // strtod reads the lexeme in place, without a copy per number: a
+    // decimal literal never extends past the lexeme, which ends at the
+    // first character outside [0-9.eE+-].
+    const char* const first = text_.c_str() + start;
+    const auto len = static_cast<std::ptrdiff_t>(pos_ - start);
     char* end = nullptr;
-    const double v = std::strtod(lexeme.c_str(), &end);
-    if (end != lexeme.c_str() + lexeme.size()) fail("bad number");
+    double v = std::strtod(first, &end);
+    std::ptrdiff_t parsed = end - first;
+    if (parsed > len) {
+      // Only a hex prefix ("0x10") or a signed inf/nan ("-inf") carries
+      // strtod past the lexeme; the document's number is still just the
+      // lexeme ("0", "-"), so parse that copy instead.
+      const std::string lexeme(first, static_cast<std::size_t>(len));
+      v = std::strtod(lexeme.c_str(), &end);
+      parsed = end - lexeme.c_str();
+    }
+    if (parsed != len) fail("bad number");
     // strtod saturates overflowing literals ("1e999") to +-infinity; a
     // document can only mean a finite value (non-finite serializes as
     // null), so letting it through would let +inf and -inf alias under
@@ -319,7 +308,7 @@ bool Json::as_bool() const {
 }
 
 double Json::as_number() const {
-  // null is the serialized form of a non-finite double (see append_number),
+  // null is the serialized form of a non-finite double (append_json_number),
   // so a numeric read of null yields NaN instead of throwing: one NaN
   // metric degrades that field only, never a whole document.
   if (type_ == Type::Null) return std::numeric_limits<double>::quiet_NaN();
@@ -420,7 +409,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Number: append_number(out, number_); break;
+    case Type::Number: append_json_number(out, number_); break;
     case Type::String: append_escaped(out, string_); break;
     // Spliced verbatim: the caller vouches that the text is one complete
     // JSON value (see Json::raw). Pretty-printing does not re-indent it.
@@ -470,10 +459,32 @@ Json Json::parse(const std::string& text) {
   return Parser(text).run();
 }
 
-std::string json_number_text(double v) {
-  std::string out;
-  append_number(out, v);
-  return out;
+void append_json_number(std::string& out, double v) {
+  // JSON has no NaN/Infinity lexemes. Throwing here would abort
+  // serialization of a whole document over one bad metric, after the
+  // compute that produced it is already done -- so the canonical encoding
+  // maps non-finite values to null (readers see NaN back, field by field).
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];  // longest output: "-1.2345678901234567e-308" (24 chars)
+  // Integers below 2^53 in magnitude print without a decimal point so ids
+  // and counts stay readable and round-trip bit-exactly (the bytes "%.0f"
+  // prints). -0.0 takes this branch too and prints "0": semantically
+  // equal documents must dump identical bytes (they are content-addressed
+  // cache keys). Everything else prints as "%.17g" does: the standard
+  // specifies to_chars with general format and a precision as printf in
+  // the C locale, without printf's cost.
+  const bool exact_integer =
+      std::abs(v) < 9007199254740992.0 &&
+      static_cast<double>(static_cast<long long>(v)) == v;
+  const std::to_chars_result r =
+      exact_integer
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 bool operator==(const Json& a, const Json& b) {

@@ -120,11 +120,14 @@ class Json {
   Object object_;
 };
 
-/// The canonical number encoding used by Json::dump (integers without a
-/// decimal point, %.17g otherwise, -0 as "0", non-finite as "null"),
-/// exposed so streaming serializers (dist workers emitting series columns
-/// point by point) produce bytes identical to a tree-built dump.
-[[nodiscard]] std::string json_number_text(double v);
+/// Appends the canonical JSON encoding of `v` to `out`: the bytes
+/// Json::dump writes for Json::number(v). Integers below 2^53 in magnitude
+/// print without a decimal point ("%.0f"), every other finite value as
+/// "%.17g", -0 as "0" and non-finite values as "null". Streaming
+/// serializers (dist workers emitting series columns point by point) call
+/// it to produce bytes identical to a tree-built dump without a temporary
+/// string per number.
+void append_json_number(std::string& out, double v);
 
 /// Population-count vectors appear in both spec and result documents;
 /// shared codec so the two serializations cannot diverge.

@@ -30,7 +30,7 @@ using api::Json;
 
 /// Accumulates the columnar "series" object of a result document as raw
 /// text while points stream past, matching ExperimentResult::to_json's
-/// serialization byte for byte (same json_number_text encoder, same
+/// serialization byte for byte (same append_json_number encoder, same
 /// compact layout) without ever holding the PeriodPoint tree.
 class SeriesTextBuilder {
  public:
@@ -43,11 +43,11 @@ class SeriesTextBuilder {
       alive_ += ',';
       for (std::string& column : counts_) column += ',';
     }
-    time_ += api::json_number_text(point.time);
-    alive_ += api::json_number_text(static_cast<double>(point.total_alive));
+    api::append_json_number(time_, point.time);
+    api::append_json_number(alive_, static_cast<double>(point.total_alive));
     for (std::size_t s = 0; s < point.counts.size(); ++s) {
-      counts_[s] += api::json_number_text(
-          static_cast<double>(point.counts[s]));
+      api::append_json_number(counts_[s],
+                              static_cast<double>(point.counts[s]));
     }
   }
 
